@@ -49,15 +49,21 @@ def build(targets):
 
 
 def run_binary(args, capture):
-    """Runs the benchmark binary from the checkout root; kills it on timeout."""
+    """Runs the benchmark binary from the checkout root; kills it on timeout.
+
+    With `capture`, returns its standard output and passes its standard
+    error on only if it fails."""
+    pipe = subprocess.PIPE if capture else None
     proc = subprocess.Popen([os.path.join(BUILD, "ssibench")] + args, cwd=ROOT,
-                            stdout=subprocess.PIPE if capture else None)
+                            stdout=pipe, stderr=pipe)
     try:
-        out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)
+        out, err = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
         sys.exit("ssibench: run timed out")
+    if capture and proc.returncode != 0:
+        sys.stderr.write(err.decode())
     return proc.returncode, (out.decode() if capture else "")
 
 

@@ -2,10 +2,12 @@
 //
 // Values below 2^kSubBits are counted exactly; above that, each power of
 // two is split into 2^kSubBits equal sub-buckets, so a bucket's width is
-// at most 1/128 of its lower bound. Percentiles report the bucket's
-// midpoint, which is within 0.4% of every value in the bucket. Memory is
-// fixed (about 60 KiB) whatever the number of samples, so a faster
-// program does not pay for its extra samples in peak RSS.
+// at most 1/128 of its lower bound. A percentile spreads its bucket's
+// samples evenly over the bucket's width and reads the rank's place in
+// it, so it is within 0.8% of the exact value and moves continuously
+// with the data rather than in bucket steps. Memory is fixed (about
+// 60 KiB) whatever the number of samples, so a faster program does not
+// pay for its extra samples in peak RSS.
 #pragma once
 
 #include <array>
@@ -45,10 +47,21 @@ class LogHistogram {
     if (rank < 1) rank = 1;
     uint64_t seen = 0;
     for (size_t i = 0; i < kBuckets; i++) {
+      if (seen + counts_[i] >= rank) {
+        if (i < kSub) return static_cast<double>(i);  // exact
+        const double at = (static_cast<double>(rank - seen) - 0.5) /
+                          static_cast<double>(counts_[i]);
+        return Lower(i) + at * Width(i);
+      }
       seen += counts_[i];
-      if (seen >= rank) return Midpoint(i);
     }
     return Midpoint(kBuckets - 1);
+  }
+
+  void Clear() {
+    counts_.fill(0);
+    n_ = 0;
+    sum_ = 0;
   }
 
   static size_t Index(uint64_t v) {
@@ -60,14 +73,21 @@ class LogHistogram {
 
   static double Midpoint(size_t i) {
     if (i < kSub) return static_cast<double>(i);
-    const int e = static_cast<int>((i - kSub) / kSub) + kSubBits;
-    const uint64_t sub = (i - kSub) % kSub;
-    const double width = std::ldexp(1.0, e - kSubBits);
-    const double lo = std::ldexp(1.0, e) + static_cast<double>(sub) * width;
-    return lo + (width - 1) / 2;
+    return Lower(i) + (Width(i) - 1) / 2;
   }
 
  private:
+  // Bucket i >= kSub holds the integers in [Lower(i), Lower(i) + Width(i)).
+  static double Width(size_t i) {
+    const int e = static_cast<int>((i - kSub) / kSub) + kSubBits;
+    return std::ldexp(1.0, e - kSubBits);
+  }
+  static double Lower(size_t i) {
+    const int e = static_cast<int>((i - kSub) / kSub) + kSubBits;
+    const uint64_t sub = (i - kSub) % kSub;
+    return std::ldexp(1.0, e) + static_cast<double>(sub) * Width(i);
+  }
+
   std::array<uint64_t, kBuckets> counts_{};
   uint64_t n_ = 0;
   double sum_ = 0;

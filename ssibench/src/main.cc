@@ -113,7 +113,7 @@ double Median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-// The better quartile of the rounds' values: the first quartile when
+// The better quartile of the values: the first quartile when
 // lower is better, the third when higher is (linear interpolation).
 double BetterQuartile(std::vector<double> v, bool higher_is_better) {
   if (v.empty()) return 0;
@@ -158,16 +158,17 @@ bool Report(const RoundResult& r, const char* what) {
   return false;
 }
 
-// Every end-to-end metric but peak_rss_mb is the better quartile of the
-// rounds' own values. Other tenants of the host only ever slow a round
-// down, by stalls of milliseconds that land on a few rounds or on most
-// of them for a spell; the better quartile still rests on a quarter of
-// the rounds, and every round runs the same work from a fresh database,
-// so a change to the program moves every round alike.
+// setup_s is the median of the rounds' set-up times. Every other
+// end-to-end metric but peak_rss_mb is the better quartile of the run's
+// slices: 4000-transaction stretches of the timed windows, 100 to 500
+// per run. Other tenants of the host only ever slow the program
+// down, by stalls that land on some slices, or on most of them for a
+// spell; the better quartile still rests on a quarter of the slices, and
+// a change to the program moves every slice alike.
 int RunTimed(const Args& a, const Sizes& sizes, const std::string& run_dir) {
   std::vector<double> setups, tputs, p50s, p99s, cpus;
   double timed = 0;
-  uint64_t committed = 0, failed = 0, min_samples = UINT64_MAX;
+  uint64_t committed = 0, failed = 0;
   bool correct = true;
   for (uint32_t round = 0; round == 0 || timed < a.seconds; round++) {
     RoundSpec spec;
@@ -185,33 +186,34 @@ int RunTimed(const Args& a, const Sizes& sizes, const std::string& run_dir) {
     }
     correct = Report(r, "check") && correct;
     setups.push_back(r.setup_s);
-    tputs.push_back(r.TxnPerSec());
-    p50s.push_back(r.latency_ns->Percentile(50) / 1e3);
-    p99s.push_back(r.latency_ns->Percentile(99) / 1e3);
-    cpus.push_back(Per(r.cpu_s * 1e6, r.committed));
-    min_samples = std::min(min_samples, r.latency_ns->count());
+    for (const Slice& s : r.slices) {
+      tputs.push_back(static_cast<double>(kSliceTxns) / s.wall_s);
+      p50s.push_back(s.p50_us);
+      p99s.push_back(s.p99_us);
+      cpus.push_back(s.cpu_s * 1e6 / static_cast<double>(kSliceTxns));
+    }
     std::fprintf(stderr,
                  "# round %u setup_s=%.3f txn_per_s=%.0f p50_us=%.1f "
                  "p99_us=%.1f cpu_us_per_txn=%.1f retries=%llu\n",
-                 round, r.setup_s, tputs.back(), p50s.back(), p99s.back(),
-                 cpus.back(), static_cast<unsigned long long>(r.retries));
+                 round, r.setup_s, r.TxnPerSec(),
+                 r.latency_ns->Percentile(50) / 1e3,
+                 r.latency_ns->Percentile(99) / 1e3,
+                 Per(r.cpu_s * 1e6, r.committed),
+                 static_cast<unsigned long long>(r.retries));
     timed += r.timed_s;
     committed += r.committed;
     failed += r.failed;
     if (!correct) break;
   }
-  const uint64_t beyond_p99 =
-      min_samples -
-      static_cast<uint64_t>(std::ceil(0.99 * static_cast<double>(min_samples)));
   std::printf(
-      "# workload=%s seed=%llu clients=%d rounds=%zu round_txns=%llu "
-      "samples_per_round>=%llu beyond_p99>=%llu run_dir_fs=%s\n",
-      KindName(a.kind), static_cast<unsigned long long>(a.seed), sizes.clients,
-      setups.size(), static_cast<unsigned long long>(sizes.round_txns),
-      static_cast<unsigned long long>(min_samples),
-      static_cast<unsigned long long>(beyond_p99), FsName(run_dir));
+      "# workload=%s seed=%llu clients=1 rounds=%zu round_txns=%llu "
+      "slices=%zu samples_per_slice=%llu beyond_p99=%llu run_dir_fs=%s\n",
+      KindName(a.kind), static_cast<unsigned long long>(a.seed), setups.size(),
+      static_cast<unsigned long long>(sizes.round_txns), tputs.size(),
+      static_cast<unsigned long long>(kSliceTxns),
+      static_cast<unsigned long long>(kSliceTxns / 100), FsName(run_dir));
   Metrics m;
-  m.Add("setup_s", BetterQuartile(setups, false), "s");
+  m.Add("setup_s", Median(setups), "s");
   m.Add("txn_per_s", BetterQuartile(tputs, true), "txn/s");
   m.Add("latency_p50_us", BetterQuartile(p50s, false), "us");
   m.Add("latency_p99_us", BetterQuartile(p99s, false), "us");
@@ -352,7 +354,10 @@ Metrics LayerMetrics(Kind kind, const TwinSet& t, const IndexBench& ib) {
 
 // The traced pass: kTwinSets sets of rounds, interleaved so that a slow
 // spell of the host lands on every variant alike; each per-layer metric
-// is the median over the sets.
+// is the median over the sets. Its rounds are a quarter of the timed
+// runs' rounds, and the wire twin's a fortieth: one client over loopback
+// runs at a tenth to a fiftieth of the embedded rate, and the pass must
+// end in time.
 int RunTracedPass(const Args& a, const Sizes& sizes, const std::string& run_dir,
                   const std::string& span_file) {
   constexpr uint32_t kTwinSets = 5;
@@ -380,7 +385,7 @@ int RunTracedPass(const Args& a, const Sizes& sizes, const std::string& run_dir,
       s.kind = a.kind;
       s.sizes = sizes;
       s.variant = v;
-      s.txns = sizes.round_txns;
+      s.txns = sizes.round_txns / (v.wire ? 40 : 4);
       s.seed = a.seed;
       s.round = k;
       s.run_dir = run_dir;
@@ -426,7 +431,7 @@ int RunTracedPass(const Args& a, const Sizes& sizes, const std::string& run_dir,
       "traced_txn_per_s=%.1f rr_twin_txn_per_s=%.1f ssi_over_si=%.3f "
       "rr_twin_winner_violations=%llu spans_dropped=%llu spans=%s\n",
       KindName(a.kind), static_cast<unsigned long long>(a.seed), kTwinSets,
-      static_cast<unsigned long long>(sizes.round_txns), Median(u_tps),
+      static_cast<unsigned long long>(sizes.round_txns / 4), Median(u_tps),
       Median(p_tps), Median(r_tps), Median(ssi_si),
       static_cast<unsigned long long>(anomalies),
       static_cast<unsigned long long>(dropped), span_file.c_str());

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <latch>
 #include <thread>
 
@@ -70,6 +71,8 @@ SsiStats Delta(const SsiStats& a, const SsiStats& b) {
 
 struct ClientState {
   LogHistogram latency;
+  LogHistogram slice_latency;
+  std::vector<Slice> slices;
   Tally tally{};
   uint64_t attempts = 0;
   uint64_t retries = 0;
@@ -78,13 +81,19 @@ struct ClientState {
   std::unique_ptr<SpanBuffer> spans;
 };
 
-void ClientLoop(Workload& w, const RoundSpec& spec,
-                std::atomic<uint64_t>& next_ticket, ClientState& cs) {
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+void ClientLoop(Workload& w, const RoundSpec& spec, ClientState& cs) {
   TraceContext& ctx = CurrentTrace();
   ctx.buf = cs.spans.get();
-  for (;;) {
-    const uint64_t ticket = next_ticket.fetch_add(1, std::memory_order_relaxed);
-    if (ticket >= spec.txns) break;
+  cs.slices.reserve(spec.txns / kSliceTxns);
+  uint64_t slice_t0 = NowNanos();
+  double slice_cpu0 = ProcessCpuSeconds();
+  for (uint64_t ticket = 0; ticket < spec.txns; ticket++) {
     const Random inputs(TicketSeed(spec.seed, spec.round, ticket));
     const uint64_t t0 = NowNanos();
     Status st;
@@ -101,7 +110,19 @@ void ClientLoop(Workload& w, const RoundSpec& spec,
       if (!st.IsSerializationFailure() || attempt == kMaxAttempts) break;
       cs.retries++;
     }
-    cs.latency.Add(NowNanos() - t0);
+    const uint64_t t1 = NowNanos();
+    cs.latency.Add(t1 - t0);
+    cs.slice_latency.Add(t1 - t0);
+    if (cs.slice_latency.count() == kSliceTxns) {
+      const double cpu = ProcessCpuSeconds();
+      cs.slices.push_back({.wall_s = static_cast<double>(t1 - slice_t0) / 1e9,
+                           .cpu_s = cpu - slice_cpu0,
+                           .p50_us = cs.slice_latency.Percentile(50) / 1e3,
+                           .p99_us = cs.slice_latency.Percentile(99) / 1e3});
+      cs.slice_latency.Clear();
+      slice_t0 = NowNanos();
+      slice_cpu0 = cpu;
+    }
     if (st.ok()) {
       cs.tally[static_cast<size_t>(cls)]++;
     } else {
@@ -110,16 +131,6 @@ void ClientLoop(Workload& w, const RoundSpec& spec,
     }
   }
   ctx = TraceContext{};
-}
-
-double ProcessCpuSeconds() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  auto sec = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) +
-           static_cast<double>(tv.tv_usec) / 1e6;
-  };
-  return sec(ru.ru_utime) + sec(ru.ru_stime);
 }
 
 }  // namespace
@@ -139,13 +150,12 @@ RoundResult RunRound(
   malloc_trim(0);
   RoundResult r;
   r.latency_ns = std::make_unique<LogHistogram>();
-  const int clients = spec.sizes.clients;
-  std::vector<ClientState> cs(static_cast<size_t>(clients));
+  auto cs = std::make_unique<ClientState>();
   if (spec.traced) {
-    // Room for every ticket plus retries on each thread: a reservation
-    // is only address space until spans are written into it.
+    // Room for every ticket plus retries: a reservation is only address
+    // space until spans are written into it.
     const size_t cap = (spec.txns * 13 / 10 + 64) * kMaxSpansPerAttempt;
-    for (auto& c : cs) c.spans = std::make_unique<SpanBuffer>(cap);
+    cs->spans = std::make_unique<SpanBuffer>(cap);
   }
 
   const uint64_t setup_t0 = NowNanos();
@@ -158,19 +168,14 @@ RoundResult RunRound(
     return r;
   }
 
-  std::atomic<uint64_t> next_ticket{0};
-  std::latch ready(clients);
+  std::latch ready(1);
   std::latch go(1);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  for (int i = 0; i < clients; i++) {
-    threads.emplace_back([&, i] {
-      w->ThreadInit();
-      ready.count_down();
-      go.wait();
-      ClientLoop(*w, spec, next_ticket, cs[static_cast<size_t>(i)]);
-    });
-  }
+  std::thread client([&] {
+    w->ThreadInit();
+    ready.count_down();
+    go.wait();
+    ClientLoop(*w, spec, *cs);
+  });
   ready.wait();
   r.setup_s = static_cast<double>(NowNanos() - setup_t0) / 1e9;
 
@@ -200,7 +205,7 @@ RoundResult RunRound(
   const double cpu0 = ProcessCpuSeconds();
   const uint64_t t0 = NowNanos();
   go.count_down();
-  for (auto& t : threads) t.join();
+  client.join();
   r.timed_s = static_cast<double>(NowNanos() - t0) / 1e9;
   r.cpu_s = ProcessCpuSeconds() - cpu0;
   const Counters after = ReadCounters(*w);
@@ -209,16 +214,13 @@ RoundResult RunRound(
     sampler.join();
   }
 
-  for (auto& c : cs) {
-    r.latency_ns->Merge(c.latency);
-    for (size_t k = 0; k < r.tally.size(); k++) r.tally[k] += c.tally[k];
-    r.attempts += c.attempts;
-    r.retries += c.retries;
-    r.failed += c.failed;
-    if (r.error.empty() && !c.error.empty()) {
-      r.error = "transaction failed: " + c.error;
-    }
-  }
+  r.latency_ns->Merge(cs->latency);
+  r.slices = std::move(cs->slices);
+  r.tally = cs->tally;
+  r.attempts = cs->attempts;
+  r.retries = cs->retries;
+  r.failed = cs->failed;
+  if (!cs->error.empty()) r.error = "transaction failed: " + cs->error;
   for (uint64_t n : r.tally) r.committed += n;
   r.ssi = Delta(before.ssi, after.ssi);
   r.epoch_freed = after.epoch_freed - before.epoch_freed;
@@ -237,7 +239,7 @@ RoundResult RunRound(
   }
   if (spec.traced) {
     std::vector<std::unique_ptr<SpanBuffer>> bufs;
-    for (auto& c : cs) bufs.push_back(std::move(c.spans));
+    bufs.push_back(std::move(cs->spans));
     r.spans = Summarize(bufs);
     if (!spec.span_file.empty() &&
         !WriteSpans(spec.span_file, spec.variant.wire ? "net" : "db", bufs)) {

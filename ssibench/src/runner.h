@@ -1,14 +1,17 @@
 // The replaying closed-loop client runner.
 //
-// A round opens a fresh workload (set-up), starts the client threads,
-// lets each dial its connection, and then times a window in which the
-// clients draw ticket numbers until `txns` business transactions have
-// committed. Ticket i's inputs come from a generator seeded by (seed,
-// round, i), so the inputs are the same whatever the thread schedule.
-// A serialization failure is retried at once with a copy of the same
+// A round opens a fresh workload (set-up), starts the client thread, lets
+// it dial its connection, and then times a window in which the client
+// runs tickets 0 .. txns-1, one business transaction each. Ticket i's
+// inputs come from a generator seeded by (seed, round, i). A
+// serialization failure is retried at once with a copy of the same
 // generator, so a retry replays the same business transaction and the
-// clients' tallies stay exact. A fixed count per round keeps what the
+// client's tallies stay exact. A fixed count per round keeps what the
 // round leaves behind (orders, bids, wal.log) independent of speed.
+//
+// The timed window is cut into slices of kSliceTxns consecutive
+// transactions, each with its own wall time, process CPU time and
+// latency percentiles: the end-to-end metrics are taken over slices.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,16 @@
 #include "workloads.h"
 
 namespace pgssi::bench {
+
+/// Business transactions per slice: 40 of them lie beyond a slice's p99.
+constexpr uint64_t kSliceTxns = 4000;
+
+struct Slice {
+  double wall_s = 0;
+  double cpu_s = 0;  // process CPU time over the slice
+  double p50_us = 0;
+  double p99_us = 0;
+};
 
 struct RoundSpec {
   Kind kind = Kind::kKv;
@@ -50,6 +63,7 @@ struct RoundResult {
   Tally tally{};
   uint64_t anomalies = 0;  // allowed violations (RUBiS winner under RR)
   std::unique_ptr<LogHistogram> latency_ns;  // per business transaction
+  std::vector<Slice> slices;  // every whole slice of the timed window
 
   // Engine and server counters over the timed window.
   SsiStats ssi{};

@@ -417,24 +417,23 @@ const char* KindName(Kind kind) {
 }
 
 Sizes DefaultSizes(Kind kind) {
+  // Each round is a whole number of the runner's slices (kSliceTxns)
+  // and lasts about two seconds.
   Sizes s;
   switch (kind) {
     case Kind::kKv:
-      s.clients = 3;
       s.kv_rows = 200'000;
-      s.round_txns = 40'000;
+      s.round_txns = 100'000;
       break;
     case Kind::kDbt2:
-      s.clients = 3;
       s.dbt2_warehouses = 32;
       s.dbt2_stock = 6000;
-      s.round_txns = 25'000;
+      s.round_txns = 60'000;
       break;
     case Kind::kRubis:
-      s.clients = 3;
       s.rubis_items = 4000;
       s.rubis_preload_bids = 12;
-      s.round_txns = 60'000;
+      s.round_txns = 120'000;
       break;
   }
   return s;

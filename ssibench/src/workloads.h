@@ -30,10 +30,9 @@ namespace pgssi::bench {
 
 enum class Kind { kKv, kDbt2, kRubis };
 
-/// Input sizes and client count of one workload.
+/// Input sizes of one workload. Every workload runs one client.
 struct Sizes {
-  int clients = 4;
-  uint64_t round_txns = 0;   // committed business transactions per round
+  uint64_t round_txns = 0;   // business transactions per round
   uint64_t kv_rows = 0;
   uint32_t dbt2_warehouses = 0;
   uint32_t dbt2_stock = 0;   // stock rows per warehouse
@@ -66,7 +65,7 @@ class Workload {
 
   /// Open the database, load the data, start the server.
   virtual Status Setup() = 0;
-  /// Runs on each client thread before the timed window (dials its
+  /// Runs on the client thread before the timed window (dials its
   /// connection over the wire).
   virtual void ThreadInit() {}
   /// One attempt of one business transaction. `rng` holds the inputs; a

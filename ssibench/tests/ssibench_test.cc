@@ -47,6 +47,9 @@ TEST(LogHistogramTest, SmallValuesAreExactAndMergeAddsCounts) {
   EXPECT_EQ(a.count(), 101u);
   EXPECT_EQ(a.Percentile(50), 50);
   EXPECT_NEAR(a.Percentile(100), 1e6, 1e6 * 0.005);
+  a.Clear();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(a.Percentile(50), 0);
 }
 
 class ShortRunTest : public ::testing::Test {
@@ -141,6 +144,23 @@ TEST_F(ShortRunTest, RubisChecksHoldAndFailOffByOne) {
   EXPECT_GT(r.tally[1], 0u);
   EXPECT_GT(r.tally[2], 0u);
   EXPECT_GT(r.net_ops, 3 * r.committed);  // every call is a round trip
+}
+
+TEST_F(ShortRunTest, SlicesCoverTheTimedWindow) {
+  RoundSpec spec = Spec(Kind::kKv);
+  spec.txns = 2 * kSliceTxns + 100;  // two whole slices and a remainder
+  const RoundResult r = RunRound(spec);
+  ASSERT_EQ(r.error, "");
+  ASSERT_EQ(r.slices.size(), 2u);
+  double wall = 0;
+  for (const Slice& s : r.slices) {
+    EXPECT_GT(s.wall_s, 0);
+    EXPECT_GT(s.cpu_s, 0);
+    EXPECT_GT(s.p50_us, 0);
+    EXPECT_LE(s.p50_us, s.p99_us);
+    wall += s.wall_s;
+  }
+  EXPECT_LE(wall, r.timed_s);
 }
 
 TEST_F(ShortRunTest, TracedTwinsPassTheirChecks) {
